@@ -1,73 +1,51 @@
 #include "sim/cache.hpp"
 
 #include <bit>
-#include <limits>
 
 #include "util/error.hpp"
 
 namespace ramp::sim {
 
 Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
-  RAMP_REQUIRE(cfg.line_bytes > 0 && std::has_single_bit(cfg.line_bytes),
-               "line size must be a power of two");
+  // Lines of at least 2 bytes keep every tag below kInvalid.
+  RAMP_REQUIRE(cfg.line_bytes > 1 && std::has_single_bit(cfg.line_bytes),
+               "line size must be a power of two of at least 2 bytes");
   RAMP_REQUIRE(cfg.ways > 0, "cache needs at least one way");
   RAMP_REQUIRE(cfg.size_bytes % (static_cast<std::uint64_t>(cfg.line_bytes) * cfg.ways) == 0,
                "size must be a multiple of line_bytes * ways");
   sets_ = cfg.size_bytes / (static_cast<std::uint64_t>(cfg.line_bytes) * cfg.ways);
   RAMP_REQUIRE(sets_ > 0 && std::has_single_bit(sets_),
                "number of sets must be a power of two");
+  set_mask_ = sets_ - 1;
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes));
-  set_shift_ = static_cast<std::uint32_t>(std::countr_zero(sets_));
-  lines_.assign(sets_ * cfg.ways, {});
+  tag_shift_ = line_shift_ + static_cast<std::uint32_t>(std::countr_zero(sets_));
+  ways_ = cfg.ways;
+  tags_.assign(sets_ * ways_, kInvalid);
+  lru_.assign(sets_ * ways_, 0);
+  dirty_.assign(sets_ * ways_, 0);
 }
 
-std::uint64_t Cache::set_of(std::uint64_t addr) const {
-  return (addr >> line_shift_) & (sets_ - 1);
+void Cache::reset_lru_stamps() {
+  for (auto& stamp : lru_) stamp = 0;
+  lru_clock_ = 0;
 }
 
-std::uint64_t Cache::tag_of(std::uint64_t addr) const {
-  return addr >> (line_shift_ + set_shift_);
-}
-
-bool Cache::access(std::uint64_t addr, bool is_write) {
-  ++accesses_;
-  const std::uint64_t set = set_of(addr);
-  const std::uint64_t tag = tag_of(addr);
-  Line* base = &lines_[set * cfg_.ways];
-
-  // LRU clock overflow: renormalize all stamps (rare; 2^32 accesses).
-  if (lru_clock_ == std::numeric_limits<std::uint32_t>::max()) {
-    for (auto& line : lines_) line.lru = 0;
-    lru_clock_ = 0;
-  }
-  ++lru_clock_;
-
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Line& line = base[w];
-    if (line.valid && line.tag == tag) {
-      ++hits_;
-      line.lru = lru_clock_;
-      line.dirty = line.dirty || is_write;
-      return true;
-    }
-  }
-
-  // Miss: fill into invalid way, else evict true-LRU.
-  Line* victim = base;
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Line& line = base[w];
-    if (!line.valid) {
-      victim = &line;
+void Cache::install(std::size_t base, std::uint64_t tag, bool is_write) {
+  // Fill the first empty way, else evict true-LRU (the first of equally old
+  // ways).
+  const std::uint64_t* tags = &tags_[base];
+  std::size_t victim = base;
+  for (std::uint32_t w = 0; w < ways_; ++w) {
+    if (tags[w] == kInvalid) {
+      victim = base + w;
       break;
     }
-    if (line.lru < victim->lru) victim = &line;
+    if (lru_[base + w] < lru_[victim]) victim = base + w;
   }
-  if (victim->valid && victim->dirty) ++writebacks_;
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = lru_clock_;
-  victim->dirty = is_write;
-  return false;
+  if (tags_[victim] != kInvalid && dirty_[victim] != 0) ++writebacks_;
+  tags_[victim] = tag;
+  lru_[victim] = lru_clock_;
+  dirty_[victim] = static_cast<std::uint8_t>(is_write);
 }
 
 void Cache::fill(std::uint64_t addr) {
@@ -79,17 +57,18 @@ void Cache::fill(std::uint64_t addr) {
 }
 
 bool Cache::probe(std::uint64_t addr) const {
-  const std::uint64_t set = set_of(addr);
-  const std::uint64_t tag = tag_of(addr);
-  const Line* base = &lines_[set * cfg_.ways];
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
+  const std::uint64_t tag = addr >> tag_shift_;
+  const std::size_t base = ((addr >> line_shift_) & set_mask_) * ways_;
+  for (std::uint32_t w = 0; w < ways_; ++w) {
+    if (tags_[base + w] == tag) return true;
   }
   return false;
 }
 
 void Cache::reset() {
-  for (auto& line : lines_) line = Line{};
+  tags_.assign(tags_.size(), kInvalid);
+  lru_.assign(lru_.size(), 0);
+  dirty_.assign(dirty_.size(), 0);
   lru_clock_ = 0;
   accesses_ = hits_ = writebacks_ = 0;
 }

@@ -5,7 +5,9 @@
 // L1D, and the unified L2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,7 +26,31 @@ class Cache {
 
   /// Looks `addr` up; on miss, fills the line (evicting LRU). Returns hit.
   /// `is_write` only affects the dirty bit (reported via writebacks()).
-  bool access(std::uint64_t addr, bool is_write = false);
+  /// The hit path is inline: every simulated load, store and fetch takes it.
+  bool access(std::uint64_t addr, bool is_write = false) {
+    ++accesses_;
+    // LRU clock overflow: renormalize all stamps (rare; 2^32 accesses).
+    if (lru_clock_ == std::numeric_limits<std::uint32_t>::max()) [[unlikely]] {
+      reset_lru_stamps();
+    }
+    ++lru_clock_;
+    const std::uint64_t tag = addr >> tag_shift_;
+    const std::size_t base = ((addr >> line_shift_) & set_mask_) * ways_;
+    // Scan every way without an early exit: a tag sits in at most one way,
+    // and a data-dependent exit would mispredict on which way hits.
+    std::size_t hit = base + ways_;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      hit = tags_[base + w] == tag ? base + w : hit;
+    }
+    if (hit == base + ways_) {
+      install(base, tag, is_write);
+      return false;
+    }
+    ++hits_;
+    lru_[hit] = lru_clock_;
+    dirty_[hit] |= static_cast<std::uint8_t>(is_write);
+    return true;
+  }
 
   /// Hit check without any state change; used by tests.
   bool probe(std::uint64_t addr) const;
@@ -47,25 +73,28 @@ class Cache {
   std::uint64_t num_sets() const { return sets_; }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint32_t lru = 0;  ///< higher = more recently used
-    bool valid = false;
-    bool dirty = false;
-  };
+  static constexpr std::uint64_t kInvalid = ~0ULL;  ///< tag of an empty way
 
-  std::uint64_t set_of(std::uint64_t addr) const;
-  std::uint64_t tag_of(std::uint64_t addr) const;
+  /// Miss path of access(): fills `tag` into the set starting at `base`.
+  void install(std::size_t base, std::uint64_t tag, bool is_write);
+  void reset_lru_stamps();
 
   CacheConfig cfg_;
   std::uint64_t sets_ = 0;
   // line_bytes and sets_ are enforced powers of two, so the per-access
   // set/tag math runs as shifts instead of 64-bit divisions (access() sits
   // on the hot path of every simulated load, store, and fetch).
+  std::uint64_t set_mask_ = 0;
   std::uint32_t line_shift_ = 0;
-  std::uint32_t set_shift_ = 0;
+  std::uint32_t tag_shift_ = 0;
+  std::uint32_t ways_ = 0;
   std::uint32_t lru_clock_ = 0;
-  std::vector<Line> lines_;  ///< sets_ * ways, set-major
+  // Tag array split by field, set-major (sets_ * ways_ each): the hit scan
+  // reads one contiguous run of tags. An empty way holds kInvalid, which no
+  // real tag reaches (tags drop the line-offset bits, at least one).
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint32_t> lru_;  ///< higher = more recently used
+  std::vector<std::uint8_t> dirty_;
   std::uint64_t accesses_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t writebacks_ = 0;

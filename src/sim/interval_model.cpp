@@ -222,18 +222,20 @@ SimResult IntervalModel::run(trace::TraceReader& reader,
   double det_half_cycles = 0.0;
   double det_full_cycles = 0.0;
   {
+    constexpr std::uint64_t kNoLimit = ~0ULL;
     VectorReader vr(prefix);
     OooCore core(cfg_);
-    bool have_half = false;
-    while (core.step(vr)) {
-      const auto lc = core.live_counters();
-      if (!have_half && half > 0 && lc.retired >= half) {
-        det_half_cycles = static_cast<double>(lc.cycles);
-        have_half = true;
+    // The half mark counts only if the machine is still live when it is
+    // crossed; a crossing on the draining cycle leaves it at zero.
+    bool live = true;
+    if (half > 0) {
+      live = core.step_until(vr, half, kNoLimit);
+      if (live) {
+        det_half_cycles = static_cast<double>(core.live_counters().cycles);
       }
     }
+    while (live) live = core.step_until(vr, kNoLimit, kNoLimit);
     det_full_cycles = static_cast<double>(core.live_counters().cycles);
-    if (!have_half) det_half_cycles = 0.0;
   }
 
   // Scoreboard over the prefix, then straight on through the remainder.

@@ -7,10 +7,8 @@ namespace ramp::sim {
 MemoryHierarchy::MemoryHierarchy(const CoreConfig& cfg)
     : cfg_(cfg), l1i_(cfg.l1i), l1d_(cfg.l1d), l2_(cfg.l2) {}
 
-int MemoryHierarchy::data_access(std::uint64_t addr, bool is_write) {
-  if (l1d_.access(addr, is_write)) return cfg_.lat_l1d;
-  // L1D miss: look up the unified L2 (fill L1D regardless — handled by the
-  // access above, which already installed the line).
+int MemoryHierarchy::data_miss(std::uint64_t addr, bool is_write) {
+  // Look up the unified L2 (the L1D access already installed the line).
   const int latency = l2_.access(addr, is_write) ? cfg_.lat_l2 : cfg_.lat_memory;
   if (cfg_.enable_nextline_prefetch) {
     // Simple sequential prefetcher: pull the next line into L1D and L2 as
@@ -22,12 +20,6 @@ int MemoryHierarchy::data_access(std::uint64_t addr, bool is_write) {
     }
   }
   return latency;
-}
-
-int MemoryHierarchy::fetch_access(std::uint64_t pc) {
-  if (l1i_.access(pc, false)) return 0;
-  if (l2_.access(pc, false)) return cfg_.lat_l2;
-  return cfg_.lat_memory;
 }
 
 void MemoryHierarchy::retire_miss() {

@@ -22,11 +22,18 @@ class MemoryHierarchy {
   /// through the store queue without waiting on the returned latency.
   /// With next-line prefetching enabled, a demand miss also installs the
   /// sequentially next line (timing-free fill, the usual simple model).
-  int data_access(std::uint64_t addr, bool is_write);
+  /// The L1 hit paths of both access kinds are inline.
+  int data_access(std::uint64_t addr, bool is_write) {
+    if (l1d_.access(addr, is_write)) return cfg_.lat_l1d;
+    return data_miss(addr, is_write);
+  }
 
   /// Instruction fetch of the line containing `pc`: returns extra stall
   /// cycles (0 on an L1I hit).
-  int fetch_access(std::uint64_t pc);
+  int fetch_access(std::uint64_t pc) {
+    if (l1i_.access(pc, false)) return 0;
+    return l2_.access(pc, false) ? cfg_.lat_l2 : cfg_.lat_memory;
+  }
 
   /// True while the number of in-flight L1D misses is at the MSHR cap; the
   /// core must stall load issue until `retire_miss` frees a slot.
@@ -51,6 +58,9 @@ class MemoryHierarchy {
   int outstanding_misses() const { return outstanding_misses_; }
 
  private:
+  /// data_access after an L1D miss (the access already filled L1D).
+  int data_miss(std::uint64_t addr, bool is_write);
+
   CoreConfig cfg_;
   Cache l1i_;
   Cache l1d_;

@@ -1,6 +1,8 @@
 #include "sim/ooo_core.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "util/error.hpp"
 
@@ -19,6 +21,12 @@ int OooCore::UnitPool::available(std::uint64_t now) const {
     if (t <= now) ++n;
   }
   return n;
+}
+
+std::uint64_t OooCore::UnitPool::next_free() const {
+  std::uint64_t next = kNever;  // a pool without units never accepts
+  for (std::uint64_t t : free_at) next = std::min(next, t);
+  return next;
 }
 
 void OooCore::UnitPool::claim(std::uint64_t now, std::uint64_t occupy) {
@@ -67,38 +75,31 @@ OooCore::OooCore(const CoreConfig& cfg, MemoryHierarchy* mem,
       cr_pool_(cfg.cr_units) {
   RAMP_REQUIRE(cfg.rob_size > 0 && cfg.dispatch_group > 0 && cfg.fetch_width > 0,
                "pipeline widths must be positive");
+  RAMP_REQUIRE(cfg.fetch_buffer > 0, "fetch buffer must be positive");
   RAMP_REQUIRE(cfg.int_rename_budget() > 0 && cfg.fp_rename_budget() > 0,
                "physical register files must exceed architectural state");
+  rob_.resize(std::bit_ceil(static_cast<std::size_t>(cfg.rob_size)));
+  rob_mask_ = rob_.size() - 1;
+  fetch_ring_.resize(std::bit_ceil(static_cast<std::size_t>(cfg.fetch_buffer)));
+  fetch_mask_ = fetch_ring_.size() - 1;
+  for (auto& q : issue_queues_) {
+    q.reserve(static_cast<std::size_t>(std::max(cfg.issue_queue_per_class, 0)));
+  }
 }
 
-bool OooCore::dep_satisfied(std::uint64_t dep) const {
-  if (dep == kNoDep) return true;
-  if (dep < rob_base_seq_) return true;  // producer already retired
-  const Flight* f = find_flight(dep);
-  return f == nullptr || (f->completed && f->complete_cycle <= cycle_);
-}
-
-std::uint64_t OooCore::ready_at_of(const Flight& f) const {
+std::uint64_t OooCore::ready_at_of(const Flight& f,
+                                   std::uint64_t& blocker) const {
   std::uint64_t ready = 0;
   for (const std::uint64_t dep : {f.dep1, f.dep2}) {
     if (dep == kNoDep || dep < rob_base_seq_) continue;  // no/retired producer
-    const Flight* p = find_flight(dep);
-    if (p == nullptr) continue;
-    if (!p->issued) return kReadyUnknown;  // completion time not fixed yet
-    ready = std::max(ready, p->complete_cycle);
+    const Flight& p = rob_at(dep);
+    if (!p.issued) {  // completion time not fixed yet
+      blocker = dep;
+      return kReadyUnknown;
+    }
+    ready = std::max(ready, p.complete_cycle);
   }
   return ready;
-}
-
-OooCore::Flight* OooCore::find_flight(std::uint64_t seq) {
-  if (seq < rob_base_seq_) return nullptr;
-  const std::uint64_t off = seq - rob_base_seq_;
-  if (off >= rob_.size()) return nullptr;
-  return &rob_[off];
-}
-
-const OooCore::Flight* OooCore::find_flight(std::uint64_t seq) const {
-  return const_cast<OooCore*>(this)->find_flight(seq);
 }
 
 int OooCore::exec_latency(OpClass op) const {
@@ -119,20 +120,20 @@ int OooCore::exec_latency(OpClass op) const {
 void OooCore::do_retire() {
   int retired = 0;
   const int budget = cfg_.retire_groups * cfg_.dispatch_group;
-  while (retired < budget && !rob_.empty()) {
-    Flight& head = rob_.front();
-    if (!head.completed || head.complete_cycle > cycle_) break;
+  while (retired < budget && rob_count() > 0) {
+    const Flight& head = rob_at(rob_base_seq_);
+    if (!head.issued || head.complete_cycle > cycle_) break;
     if (head.produces_int) --int_regs_in_use_;
     if (head.produces_fp) --fp_regs_in_use_;
     if (head.in_mem_queue) --mem_queue_used_;
     if (!inflight_stores_.empty() && inflight_stores_.front().first == head.seq) {
       inflight_stores_.pop_front();
     }
-    rob_.pop_front();
     ++rob_base_seq_;
     ++retired;
     ++iv_retired_;
   }
+  if (retired > 0) active_ = true;
   RAMP_ASSERT(int_regs_in_use_ >= 0 && fp_regs_in_use_ >= 0 &&
               mem_queue_used_ >= 0);
 }
@@ -142,6 +143,7 @@ void OooCore::do_complete() {
   while (!miss_fill_events_.empty() && miss_fill_events_.top() <= cycle_) {
     miss_fill_events_.pop();
     mem_->retire_miss();
+    active_ = true;
   }
   // Completion is otherwise implicit: issued instructions carry
   // complete_cycle. The remaining work is resuming fetch when a
@@ -150,15 +152,14 @@ void OooCore::do_complete() {
     // The stalling branch may still sit in the fetch buffer (not dispatched,
     // so not yet in the ROB); it cannot have resolved in that case.
     if (stalled_on_branch_seq_ >= next_seq_) return;
-    const Flight* br = find_flight(stalled_on_branch_seq_);
-    const bool resolved =
-        br == nullptr || (br->completed && br->complete_cycle <= cycle_);
-    if (resolved) {
-      const std::uint64_t resolve_cycle =
-          br == nullptr ? cycle_ : br->complete_cycle;
+    const bool retired = stalled_on_branch_seq_ < rob_base_seq_;
+    const Flight& br = rob_at(stalled_on_branch_seq_);
+    if (retired || (br.issued && br.complete_cycle <= cycle_)) {
+      const std::uint64_t resolve_cycle = retired ? cycle_ : br.complete_cycle;
       fetch_resume_cycle_ =
           resolve_cycle + static_cast<std::uint64_t>(cfg_.mispredict_penalty);
       stalled_on_branch_seq_ = kNoDep;
+      active_ = true;
     }
   }
 }
@@ -183,21 +184,23 @@ void OooCore::do_issue() {
     if (slots == 0 || queue.empty()) continue;
 
     // Oldest-first ready scan. Entries with a cached future ready_at are
-    // skipped on one compare; unknown entries re-derive it from the ROB
-    // (same cost the unconditional dep walk used to pay every cycle).
+    // skipped on one compare, parked ones on their blocker's issued bit;
+    // only an entry whose blocker has issued re-derives ready_at.
     for (std::size_t qi = 0; qi < queue.size() && slots > 0;) {
       IqEntry& e = queue[qi];
       if (e.ready_at == kReadyUnknown) {
-        const Flight* pf = find_flight(e.seq);
-        RAMP_ASSERT(pf != nullptr && !pf->issued);
-        e.ready_at = ready_at_of(*pf);
+        if (parked(e)) {
+          ++qi;
+          continue;
+        }
+        e.ready_at = ready_at_of(rob_at(e.seq), e.blocker);
       }
       if (e.ready_at == kReadyUnknown || e.ready_at > cycle_) {
         ++qi;
         continue;
       }
-      Flight* f = find_flight(e.seq);
-      RAMP_ASSERT(f != nullptr && !f->issued);
+      Flight* f = &rob_at(e.seq);
+      RAMP_ASSERT(f->seq == e.seq && !f->issued);
 
       if (f->op == OpClass::kLoad || f->op == OpClass::kStore) {
         // Store-to-load forwarding: a load whose 8-byte word is produced by
@@ -217,9 +220,9 @@ void OooCore::do_issue() {
             f->complete_cycle = cycle_ + 2;  // bypass latency
             pool.claim(cycle_, 1);
             f->issued = true;
-            f->completed = true;
             ++iv_ls_issued_;
             --slots;
+            active_ = true;
             queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(qi));
             continue;
           }
@@ -254,10 +257,10 @@ void OooCore::do_issue() {
         pool.claim(cycle_, unpipelined ? static_cast<std::uint64_t>(lat) : 1);
       }
 
-      f->issued = true;
-      f->completed = true;  // completion time recorded in complete_cycle
+      f->issued = true;  // completion time recorded in complete_cycle
       ++*pools[static_cast<std::size_t>(c)].counter;
       --slots;
+      active_ = true;
       queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(qi));
     }
   }
@@ -265,13 +268,13 @@ void OooCore::do_issue() {
 
 void OooCore::do_dispatch() {
   int dispatched = 0;
-  while (dispatched < cfg_.dispatch_group && !fetch_buffer_.empty()) {
-    const Instruction& ins = fetch_buffer_.front();
+  while (dispatched < cfg_.dispatch_group && fetch_count_ > 0) {
+    const Instruction& ins = fetch_ring_[fetch_head_];
     const IqClass iqc = iq_class_of(ins.op);
     auto& queue = issue_queues_[static_cast<std::size_t>(iqc)];
 
     // Structural stalls: ROB, issue queue, rename budget, memory queue.
-    if (rob_.size() >= static_cast<std::size_t>(cfg_.rob_size)) break;
+    if (rob_count() >= static_cast<std::uint64_t>(cfg_.rob_size)) break;
     if (queue.size() >= static_cast<std::size_t>(cfg_.issue_queue_per_class)) break;
     const bool produces = ins.dst != Instruction::kNoReg;
     const bool fp_dest = produces && ins.dst >= cfg_.arch_int_regs;
@@ -282,7 +285,7 @@ void OooCore::do_dispatch() {
 
     Flight f;
     f.op = ins.op;
-    f.seq = next_seq_++;
+    f.seq = next_seq_;
     f.mem_addr = ins.mem_addr;
     auto lookup = [&](std::uint16_t reg) -> std::uint64_t {
       if (reg == Instruction::kNoReg) return kNoDep;
@@ -309,13 +312,18 @@ void OooCore::do_dispatch() {
       }
     }
 
-    queue.push_back(IqEntry{
-        f.seq, (f.dep1 == kNoDep && f.dep2 == kNoDep) ? 0 : kReadyUnknown});
-    rob_.push_back(f);
-    fetch_buffer_.pop_front();
+    // ready_at is a pure function of the producers' issue state, so
+    // deriving it here rather than at the first scan changes no decision.
+    IqEntry e{f.seq, 0, kNoDep};
+    e.ready_at = ready_at_of(f, e.blocker);
+    queue.push_back(e);
+    rob_at(next_seq_++) = f;
+    fetch_head_ = (fetch_head_ + 1) & fetch_mask_;
+    --fetch_count_;
     ++dispatched;
     ++iv_dispatched_;
   }
+  if (dispatched > 0) active_ = true;
 }
 
 void OooCore::do_fetch(trace::TraceReader& reader) {
@@ -324,14 +332,17 @@ void OooCore::do_fetch(trace::TraceReader& reader) {
   int fetched = 0;
   std::uint64_t last_line = ~0ULL;
   while (fetched < cfg_.fetch_width &&
-         fetch_buffer_.size() < static_cast<std::size_t>(cfg_.fetch_buffer)) {
+         fetch_count_ < static_cast<std::size_t>(cfg_.fetch_buffer)) {
     if (!pending_valid_) {
-      if (trace_exhausted_ || !reader.next(pending_)) {
+      if (trace_exhausted_) return;
+      active_ = true;
+      if (!reader.next(pending_)) {
         trace_exhausted_ = true;
         return;
       }
       pending_valid_ = true;
     }
+    active_ = true;
 
     // I-cache lookup once per new line touched by this fetch group.
     const std::uint64_t line = pending_.pc / kFetchLineBytes;
@@ -345,9 +356,10 @@ void OooCore::do_fetch(trace::TraceReader& reader) {
       }
     }
 
-    const Instruction ins = pending_;
+    const Instruction& ins = pending_;
     pending_valid_ = false;
-    fetch_buffer_.push_back(ins);
+    fetch_ring_[(fetch_head_ + fetch_count_) & fetch_mask_] = ins;
+    ++fetch_count_;
     ++fetched;
     ++iv_fetched_;
 
@@ -358,12 +370,75 @@ void OooCore::do_fetch(trace::TraceReader& reader) {
         // The redirect happens when this branch resolves; remember its
         // (future) sequence number. It is the next instruction to dispatch
         // after everything already in the buffer.
-        stalled_on_branch_seq_ = next_seq_ + fetch_buffer_.size() - 1;
+        stalled_on_branch_seq_ = next_seq_ + fetch_count_ - 1;
         return;
       }
       if (ins.branch_taken) break;  // taken branches end the fetch group
     }
   }
+}
+
+std::uint64_t OooCore::next_event_cycle() {
+  std::uint64_t next = kNever;
+  const auto consider = [&next](std::uint64_t t) { next = std::min(next, t); };
+
+  // Retirement waits on the ROB head's completion.
+  if (rob_count() > 0) {
+    const Flight& head = rob_at(rob_base_seq_);
+    if (head.issued) consider(head.complete_cycle);
+  }
+  // An MSHR fill frees a miss port (and may unblock a load).
+  if (!miss_fill_events_.empty()) consider(miss_fill_events_.top());
+  // Fetch sleeping on an I-cache fill or a redirect penalty.
+  if (fetch_resume_cycle_ >= cycle_) consider(fetch_resume_cycle_);
+  // A dispatched mispredicted branch resolves at its completion.
+  if (stalled_on_branch_seq_ != kNoDep && stalled_on_branch_seq_ < next_seq_) {
+    if (stalled_on_branch_seq_ < rob_base_seq_) return cycle_;
+    const Flight& br = rob_at(stalled_on_branch_seq_);
+    if (br.issued) consider(br.complete_cycle);
+  }
+  // Issue: per class, the first cycle at which an entry is ready and a unit
+  // is free. Parked entries wait on another entry's issue, which is itself
+  // bounded here. Entries a skipped class never re-derived (no free unit)
+  // are derived now, so their readiness is not missed.
+  const std::array<const UnitPool*, kNumIqClasses> pools = {
+      &int_pool_, &fp_pool_, &ls_pool_, &br_pool_, &cr_pool_};
+  for (int c = 0; c < kNumIqClasses; ++c) {
+    auto& queue = issue_queues_[static_cast<std::size_t>(c)];
+    if (queue.empty()) continue;
+    const std::uint64_t unit_free = pools[static_cast<std::size_t>(c)]->next_free();
+    for (IqEntry& e : queue) {
+      if (e.ready_at == kReadyUnknown) {
+        if (parked(e)) continue;
+        e.ready_at = ready_at_of(rob_at(e.seq), e.blocker);
+        if (e.ready_at == kReadyUnknown) continue;
+      }
+      const std::uint64_t t = std::max(e.ready_at, unit_free);
+      if (t < cycle_) {
+        // Issuable in the idle cycle just simulated, yet it stayed: only a
+        // load held back by full miss ports does that, and the ports free
+        // at an MSHR fill, bounded above. Anything else: do not skip.
+        if (rob_at(e.seq).op == OpClass::kLoad && mem_->miss_ports_full()) {
+          continue;
+        }
+        return cycle_;
+      }
+      consider(t);
+    }
+  }
+  return next;
+}
+
+void OooCore::skip_idle_cycles() {
+  if (drained()) return;
+  std::uint64_t next = next_event_cycle();
+  // No timed event: a model deadlock. Keep stepping so run()'s
+  // forward-progress guard sees every cycle.
+  if (next == kNever) return;
+  if (interval_cycles_ > 0) {
+    next = std::min(next, iv_start_cycle_ + interval_cycles_);
+  }
+  if (next > cycle_) cycle_ = next;
 }
 
 void OooCore::finish_interval() {
@@ -397,18 +472,18 @@ void OooCore::finish_interval() {
   iv_start_cycle_ = cycle_;
   iv_fetched_ = iv_dispatched_ = iv_retired_ = 0;
   iv_int_issued_ = iv_fp_issued_ = iv_ls_issued_ = iv_br_issued_ = 0;
-  iv_rob_occupancy_sum_ = 0;
 }
 
 void OooCore::cycle_once(trace::TraceReader& reader) {
+  active_ = false;
   do_retire();
   do_complete();
   do_issue();
   do_dispatch();
   do_fetch(reader);
 
-  iv_rob_occupancy_sum_ += rob_.size();
   ++cycle_;
+  if (!active_) skip_idle_cycles();
 
   // interval_cycles_ is 0 in step-driven mode: no chopping, the iv_*
   // counters keep whole-run totals for live_counters().
@@ -418,9 +493,14 @@ void OooCore::cycle_once(trace::TraceReader& reader) {
   }
 }
 
-bool OooCore::step(trace::TraceReader& reader) {
-  cycle_once(reader);
-  return !drained();
+bool OooCore::step_until(trace::TraceReader& reader,
+                         std::uint64_t retired_target,
+                         std::uint64_t cycle_limit) {
+  do {
+    cycle_once(reader);
+    if (drained()) return false;
+  } while (iv_retired_ < retired_target && cycle_ < cycle_limit);
+  return true;
 }
 
 SimResult OooCore::run(trace::TraceReader& reader,
@@ -437,7 +517,7 @@ SimResult OooCore::run(trace::TraceReader& reader,
 
     // Forward-progress guard: with finite latencies the ROB head must retire
     // within a bounded number of cycles; a longer stall is a model deadlock.
-    if (rob_base_seq_ != last_rob_base || rob_.empty()) {
+    if (rob_base_seq_ != last_rob_base || rob_count() == 0) {
       last_rob_base = rob_base_seq_;
       last_progress_cycle = cycle_;
     }

@@ -44,14 +44,20 @@ class OooCore {
   /// `interval_cycles` cycles. Throws InvalidArgument on a zero interval.
   SimResult run(trace::TraceReader& reader, std::uint64_t interval_cycles);
 
-  /// Single-cycle stepping for callers that drive the core externally
-  /// (SampledCore measures instruction windows this way). Simulates one
-  /// cycle against `reader` and returns false once the trace is exhausted
-  /// and the machine has drained. Interval chopping is disabled in this
-  /// mode; read progress through live_counters(). Do not mix with run().
-  bool step(trace::TraceReader& reader);
+  /// Stepping for callers that drive the core externally (SampledCore
+  /// measures instruction windows this way): simulates cycles against
+  /// `reader` until at least `retired_target` instructions have retired in
+  /// all or the clock reaches `cycle_limit`, so the caller sees
+  /// live_counters() at exactly the cycle that crossed its mark. Returns
+  /// false once the trace is exhausted and the machine has drained. Idle
+  /// cycles are skipped as in run(); they retire nothing, so no mark is
+  /// crossed inside a skip. Interval chopping is disabled in this mode.
+  /// Do not mix with run().
+  bool step_until(trace::TraceReader& reader, std::uint64_t retired_target,
+                  std::uint64_t cycle_limit);
 
-  /// Running whole-run totals, valid while driving the core via step().
+  /// Running whole-run totals, valid while driving the core via
+  /// step_until().
   struct LiveCounters {
     std::uint64_t cycles = 0;
     std::uint64_t retired = 0;
@@ -78,19 +84,21 @@ class OooCore {
     std::uint64_t dep2 = kNoDep;
     std::uint64_t mem_addr = 0;
     std::uint64_t complete_cycle = 0;
-    bool issued = false;
-    bool completed = false;
+    bool issued = false;  ///< complete_cycle is fixed once set
     bool produces_int = false;
     bool produces_fp = false;
     bool in_mem_queue = false;
   };
   static constexpr std::uint64_t kNoDep = ~0ULL;
+  static constexpr std::uint64_t kNever = ~0ULL;
 
   // Functional-unit pool for one op family.
   struct UnitPool {
     std::vector<std::uint64_t> free_at;  ///< cycle each unit next accepts
     explicit UnitPool(int n = 0) : free_at(static_cast<std::size_t>(n), 0) {}
     int available(std::uint64_t now) const;
+    /// Earliest cycle at which some unit accepts an op.
+    std::uint64_t next_free() const;
     // Claims a unit: occupied through `occupy` cycles (1 for pipelined ops).
     void claim(std::uint64_t now, std::uint64_t occupy);
   };
@@ -100,14 +108,16 @@ class OooCore {
   static IqClass iq_class_of(trace::OpClass op);
 
   // Issue-queue entry: the flight's seq plus a cached earliest-ready cycle.
-  // ready_at stays kReadyUnknown while any producer is unissued; once every
-  // producer has issued its complete_cycle is fixed, so ready_at becomes
-  // max over producers' complete cycles and never changes again (producers
-  // retiring later cannot move it). The ready scan then skips a waiting
-  // entry with one compare instead of two ROB walks per cycle.
+  // ready_at stays kReadyUnknown while any producer is unissued, and the
+  // entry is *parked* on that producer (`blocker`): the ready scan checks
+  // only the blocker's issued bit, and re-derives ready_at from the ROB
+  // once it has issued. When every producer has issued, ready_at is the max
+  // over their complete cycles and never changes again (producers retiring
+  // later cannot move it), so a waiting entry costs one compare per scan.
   struct IqEntry {
     std::uint64_t seq;
     std::uint64_t ready_at;
+    std::uint64_t blocker;  ///< unissued producer, while ready_at is unknown
   };
   static constexpr std::uint64_t kReadyUnknown = ~0ULL;
 
@@ -119,19 +129,35 @@ class OooCore {
   void do_fetch(trace::TraceReader& reader);
 
   /// One full pipeline cycle plus interval bookkeeping (shared by run and
-  /// step).
+  /// step_until). A cycle in which no stage changed any state is followed
+  /// by a jump to the next cycle at which one can (skip_idle_cycles).
   void cycle_once(trace::TraceReader& reader);
   bool drained() const {
-    return trace_exhausted_ && !pending_valid_ && fetch_buffer_.empty() &&
-           rob_.empty();
+    return trace_exhausted_ && !pending_valid_ && fetch_count_ == 0 &&
+           rob_count() == 0;
   }
 
-  bool dep_satisfied(std::uint64_t dep) const;
+  /// Idle-cycle skipping. Called after a cycle in which nothing changed:
+  /// the machine state is then a fixed point until the earliest of the
+  /// timed events next_event_cycle() bounds, so the cycles before it would
+  /// all be idle too and are skipped (never past an interval boundary).
+  void skip_idle_cycles();
+  /// Lower bound on the first cycle >= cycle_ at which any stage can act on
+  /// the current state, or kNever when no timed event is pending.
+  std::uint64_t next_event_cycle();
+  /// True while `e` waits on a producer that has not issued yet.
+  bool parked(const IqEntry& e) const {
+    return e.blocker >= rob_base_seq_ && !rob_at(e.blocker).issued;
+  }
+
   /// Earliest cycle the flight's operands are all available, or
-  /// kReadyUnknown while a producer has not issued yet.
-  std::uint64_t ready_at_of(const Flight& f) const;
-  Flight* find_flight(std::uint64_t seq);
-  const Flight* find_flight(std::uint64_t seq) const;
+  /// kReadyUnknown (with `blocker` set to the culprit) while a producer has
+  /// not issued yet.
+  std::uint64_t ready_at_of(const Flight& f, std::uint64_t& blocker) const;
+  std::uint64_t rob_count() const { return next_seq_ - rob_base_seq_; }
+  /// The in-flight instruction `seq` (rob_base_seq_ <= seq < next_seq_).
+  Flight& rob_at(std::uint64_t seq) { return rob_[seq & rob_mask_]; }
+  const Flight& rob_at(std::uint64_t seq) const { return rob_[seq & rob_mask_]; }
   int exec_latency(trace::OpClass op) const;
   void finish_interval();
 
@@ -142,8 +168,11 @@ class OooCore {
   BranchPredictor* predictor_ = nullptr;
   MemoryHierarchy* mem_ = nullptr;
 
-  // ROB as a ring: rob_[seq - rob_base_seq_] for in-flight seq numbers.
-  std::deque<Flight> rob_;
+  // ROB as a power-of-two ring indexed by seq: the in-flight instructions
+  // are exactly seqs [rob_base_seq_, next_seq_), so finding a producer is
+  // one mask.
+  std::vector<Flight> rob_;
+  std::uint64_t rob_mask_ = 0;
   std::uint64_t rob_base_seq_ = 0;  ///< seq of ROB head (oldest in flight)
   std::uint64_t next_seq_ = 0;      ///< seq for the next dispatched instr
 
@@ -156,8 +185,12 @@ class OooCore {
   std::vector<std::vector<IqEntry>> issue_queues_;  ///< FIFO order
   UnitPool int_pool_, fp_pool_, ls_pool_, br_pool_, cr_pool_;
 
-  // Fetch state.
-  std::deque<trace::Instruction> fetch_buffer_;
+  // Fetch state. The fetch buffer is a power-of-two ring of fetch_count_
+  // instructions starting at fetch_head_.
+  std::vector<trace::Instruction> fetch_ring_;
+  std::size_t fetch_mask_ = 0;
+  std::size_t fetch_head_ = 0;
+  std::size_t fetch_count_ = 0;
   std::uint64_t fetch_resume_cycle_ = 0;  ///< stall until this cycle
   std::uint64_t stalled_on_branch_seq_ = kNoDep;  ///< unresolved mispredict
   bool trace_exhausted_ = false;
@@ -165,6 +198,7 @@ class OooCore {
   bool pending_valid_ = false;
 
   std::uint64_t cycle_ = 0;
+  bool active_ = false;  ///< some stage changed state this cycle
 
   /// Completion times of in-flight L1D misses; each fill releases its MSHR
   /// slot when the cycle clock passes it.
@@ -185,7 +219,6 @@ class OooCore {
   std::uint64_t iv_fp_issued_ = 0;
   std::uint64_t iv_ls_issued_ = 0;
   std::uint64_t iv_br_issued_ = 0;
-  std::uint64_t iv_rob_occupancy_sum_ = 0;
 
   SimResult result_;
   std::uint64_t interval_cycles_ = 0;

@@ -8,6 +8,7 @@
 #include "sim/branch_predictor.hpp"
 #include "sim/memory_hierarchy.hpp"
 #include "sim/ooo_core.hpp"
+#include "trace/synthetic_generator.hpp"
 #include "util/error.hpp"
 
 namespace ramp::sim {
@@ -18,6 +19,7 @@ using trace::OpClass;
 namespace {
 
 constexpr std::uint64_t kFetchLineBytes = 64;
+constexpr std::uint64_t kNoLimit = ~0ULL;
 
 /// Instructions at the start of the run simulated fully detailed.  The
 /// cold-start ramp (cache and predictor fill) is a distinct regime where
@@ -58,6 +60,49 @@ class BoundedReader final : public trace::TraceReader {
   std::uint64_t remaining_;
   std::uint64_t consumed_ = 0;
   bool inner_exhausted_ = false;
+};
+
+/// The functional fast-forward's consumer: warms the shared hierarchy and
+/// predictor with each instruction, in program order, and tallies the
+/// structure events the instructions stand for.
+class FunctionalWarmer {
+ public:
+  FunctionalWarmer(MemoryHierarchy& mem, BranchPredictor& predictor)
+      : mem_(mem), predictor_(predictor) {}
+
+  /// Starts a fast-forward run: zero tallies; the first instruction
+  /// fetches its line.
+  void begin() {
+    last_line_ = ~0ULL;
+    lsu = bxu = fpu = 0;
+  }
+
+  void operator()(const Instruction& ins) {
+    const std::uint64_t line = ins.pc / kFetchLineBytes;
+    if (line != last_line_) {
+      mem_.fetch_access(ins.pc);
+      last_line_ = line;
+    }
+    const bool is_mem = trace::is_memory(ins.op);
+    const bool is_branch = ins.op == OpClass::kBranch;
+    lsu += is_mem;
+    bxu += is_branch || ins.op == OpClass::kLogicalCr;
+    fpu += trace::is_fp(ins.op);
+    if (is_mem) {
+      mem_.data_access(ins.mem_addr, ins.op == OpClass::kStore);
+    } else if (is_branch) {
+      predictor_.record_outcome(ins.pc, ins.branch_taken, ins.branch_target);
+    }
+  }
+
+  // Structure events of the warmed instructions; every op is exactly one of
+  // int / FP / load-store / branch-or-CR, so the int count is the rest.
+  std::uint64_t lsu = 0, bxu = 0, fpu = 0;
+
+ private:
+  MemoryHierarchy& mem_;
+  BranchPredictor& predictor_;
+  std::uint64_t last_line_ = ~0ULL;
 };
 
 double mean_of(const std::vector<double>& xs) {
@@ -157,13 +202,16 @@ SimResult SampledCore::run(trace::TraceReader& reader,
   };
 
   bool exhausted = false;
+  FunctionalWarmer warmer(mem, predictor);
+  // A synthetic stream fuses its fast-forward with the warming.
+  auto* const synthetic = dynamic_cast<trace::SyntheticTrace*>(&reader);
 
   // --- detailed prefix: the cold-start ramp, simulated exactly ---
   {
     const Events ev0 = snap_events();
     BoundedReader prefix_reader(reader, kDetailedPrefix);
     OooCore core(cfg_, &mem, &predictor);
-    while (core.step(prefix_reader)) {
+    while (core.step_until(prefix_reader, kNoLimit, kNoLimit)) {
     }
     mem.clear_outstanding_misses();
     const auto lc = core.live_counters();
@@ -205,7 +253,8 @@ SimResult SampledCore::run(trace::TraceReader& reader,
     const std::uint64_t total_marks = params_.windows + 1;
     // Forward-progress guard, mirroring OooCore's deadlock bound.
     const std::uint64_t cycle_guard = 200'000 + 100 * unit_cap;
-    while (marks_done < total_marks && core.step(unit_reader)) {
+    while (marks_done < total_marks &&
+           core.step_until(unit_reader, next_mark, cycle_guard)) {
       const auto lc = core.live_counters();
       while (marks_done < total_marks && lc.retired >= next_mark) {
         const Events ev = snap_events();
@@ -259,47 +308,25 @@ SimResult SampledCore::run(trace::TraceReader& reader,
     std::uint64_t ff_done = 0;
     if (!exhausted && params_.period > unit_consumed) {
       const std::uint64_t ff_target = params_.period - unit_consumed;
-      std::uint64_t last_line = ~0ULL;
-      Instruction ins;
-      while (ff_done < ff_target) {
-        if (!reader.next_functional(ins)) {
-          exhausted = true;
-          break;
-        }
-        ++ff_done;
-        const std::uint64_t line = ins.pc / kFetchLineBytes;
-        if (line != last_line) {
-          mem.fetch_access(ins.pc);
-          last_line = line;
-        }
-        switch (ins.op) {
-          case OpClass::kBranch:
-            predictor.record_outcome(ins.pc, ins.branch_taken,
-                                     ins.branch_target);
-            rec.bxu += 1.0;
-            break;
-          case OpClass::kLogicalCr:
-            rec.bxu += 1.0;
-            break;
-          case OpClass::kLoad:
-            mem.data_access(ins.mem_addr, false);
-            rec.lsu += 1.0;
-            break;
-          case OpClass::kStore:
-            mem.data_access(ins.mem_addr, true);
-            rec.lsu += 1.0;
-            break;
-          case OpClass::kFpAlu:
-          case OpClass::kFpDiv:
-            rec.fpu += 1.0;
-            break;
-          case OpClass::kIntAlu:
-          case OpClass::kIntMul:
-          case OpClass::kIntDiv:
-            rec.fxu += 1.0;
-            break;
+      warmer.begin();
+      if (synthetic != nullptr) {
+        // Fused: each instruction is warmed as it is generated.
+        ff_done = synthetic->fast_forward(ff_target, warmer);
+      } else {
+        Instruction ins;
+        while (ff_done < ff_target && reader.next_functional(ins)) {
+          warmer(ins);
+          ++ff_done;
         }
       }
+      if (ff_done < ff_target) exhausted = true;
+      // Integer tallies added once equal the per-instruction `+= 1.0` sums
+      // exactly (all values stay far below 2^53).
+      rec.bxu += static_cast<double>(warmer.bxu);
+      rec.lsu += static_cast<double>(warmer.lsu);
+      rec.fpu += static_cast<double>(warmer.fpu);
+      rec.fxu += static_cast<double>(ff_done - warmer.lsu - warmer.bxu -
+                                     warmer.fpu);
       consumed += ff_done;
       const auto dff = static_cast<double>(ff_done);
       rec.fetched += dff;

@@ -1,6 +1,7 @@
 #include "trace/synthetic_generator.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 
@@ -11,7 +12,8 @@ namespace {
 constexpr std::uint16_t kNumIntRegs = 32;
 constexpr std::uint16_t kNumFpRegs = 32;
 constexpr std::uint16_t kFpRegBase = 32;
-constexpr std::uint64_t kInstrBytes = 4;
+// Probability that a store's data register is an FP register.
+constexpr double kFpStoreDataProb = 0.3;
 
 // Deterministic per-PC hash (SplitMix64 finalizer) — fixes each static
 // branch's preferred direction and target.
@@ -53,12 +55,24 @@ void validate(const GeneratorProfile& p) {
 
 SyntheticTrace::SyntheticTrace(const GeneratorProfile& profile,
                                std::uint64_t length, std::uint64_t seed)
-    : profile_(profile), length_(length), rng_(seed), mix_(profile.op_mix) {
+    : profile_(profile),
+      length_(length),
+      walk_{Xoshiro256(seed)},
+      mix_(profile.op_mix) {
   validate(profile_);
   stream_span_ = std::max<std::uint64_t>(
       profile_.hot_footprint_bytes /
           static_cast<std::uint64_t>(profile_.num_streams),
       64);
+  stream_bits_ = Xoshiro256::bernoulli_threshold(profile_.stream_fraction);
+  cold_bits_ = Xoshiro256::bernoulli_threshold(profile_.cold_fraction);
+  noise_bits_ = Xoshiro256::bernoulli_threshold(profile_.branch_noise);
+  second_source_bits_ =
+      Xoshiro256::bernoulli_threshold(profile_.second_source_prob);
+  fp_store_data_bits_ = Xoshiro256::bernoulli_threshold(kFpStoreDataProb);
+  if (profile_.dep_distance_p < 1.0) {
+    dep_log1m_p_ = std::log1p(-profile_.dep_distance_p);
+  }
   code_span_ = static_cast<std::uint64_t>(profile_.code_blocks) *
                static_cast<std::uint64_t>(profile_.block_len) * kInstrBytes;
   stream_pos_.resize(static_cast<std::size_t>(profile_.num_streams));
@@ -67,6 +81,20 @@ SyntheticTrace::SyntheticTrace(const GeneratorProfile& profile,
   // the set-aliasing period would make all streams fight over one region).
   for (std::size_t s = 0; s < stream_pos_.size(); ++s) {
     stream_pos_[s] = stream_base(s);
+  }
+  const auto blocks = static_cast<std::uint64_t>(profile_.code_blocks);
+  const auto block_bytes =
+      static_cast<std::uint64_t>(profile_.block_len) * kInstrBytes;
+  sites_.resize(static_cast<std::size_t>(blocks));
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    // The branch sits on the block's last slot.
+    const std::uint64_t h =
+        pc_hash(kCodeBase + (b + 1) * block_bytes - kInstrBytes);
+    BranchSite& site = sites_[static_cast<std::size_t>(b)];
+    site.preferred_taken =
+        (h & 0x3ff) < static_cast<std::uint64_t>(profile_.taken_bias * 1024.0);
+    site.target_block = (h >> 10) % blocks;
+    site.target = kCodeBase + site.target_block * block_bytes;
   }
 }
 
@@ -79,7 +107,7 @@ bool SyntheticTrace::next(Instruction& out) {
 
 bool SyntheticTrace::next_functional(Instruction& out) {
   if (emitted_ >= length_) return false;
-  out = synthesize_functional();
+  synthesize_functional(out, walk_);
   ++emitted_;
   return true;
 }
@@ -91,7 +119,10 @@ std::uint16_t SyntheticTrace::pick_source(bool fp) {
     return fp ? kFpRegBase : std::uint16_t{0};
   }
   // Geometric distance from the most recent producer; clamp into the window.
-  const std::uint64_t d = rng_.geometric(profile_.dep_distance_p);
+  // Same draws as Xoshiro256::geometric(dep_distance_p): none at p = 1.
+  const std::uint64_t d = profile_.dep_distance_p < 1.0
+                              ? walk_.rng.geometric_log1m(dep_log1m_p_)
+                              : 0;
   const std::uint64_t back = std::min<std::uint64_t>(d, recent.count - 1);
   return recent.buf[(recent.head + kRecentWindow - back) % kRecentWindow];
 }
@@ -102,37 +133,9 @@ void SyntheticTrace::record_producer(RecentRing& recent, std::uint16_t dst) {
   if (recent.count < kRecentWindow) ++recent.count;
 }
 
-std::uint64_t SyntheticTrace::stream_base(std::size_t s) const {
-  // Contiguous spans with a 3-cache-line skew per stream.
-  return 0x100000 + s * (stream_span_ + 192);
-}
-
-std::uint64_t SyntheticTrace::gen_mem_addr() {
-  if (rng_.bernoulli(profile_.stream_fraction)) {
-    const auto s = static_cast<std::size_t>(
-        rng_.below(static_cast<std::uint64_t>(profile_.num_streams)));
-    stream_pos_[s] += profile_.stream_stride;
-    // Wrap within the span so streams stay cache-resident at the rate the
-    // footprint implies.
-    if (stream_pos_[s] >= stream_base(s) + stream_span_) {
-      stream_pos_[s] = stream_base(s);
-    }
-    return stream_pos_[s];
-  }
-  if (rng_.bernoulli(profile_.cold_fraction)) {
-    // 3-line skew vs the hot region below avoids systematic set aliasing.
-    return 0x40000300 + (rng_.below(profile_.cold_footprint_bytes) & ~7ULL);
-  }
-  // Scattered accesses over the hot footprint, offset from the stream
-  // region so the two halves of the working set use different sets where
-  // the footprint allows.
-  return 0x20000000 + profile_.hot_footprint_bytes +
-         (rng_.below(profile_.hot_footprint_bytes) & ~7ULL);
-}
-
 Instruction SyntheticTrace::synthesize() {
   Instruction ins;
-  ins.op = static_cast<OpClass>(mix_.sample(rng_));
+  ins.op = static_cast<OpClass>(mix_.sample(walk_.rng));
 
   // Branches live on a fixed static grid: the last slot of every
   // block_len-instruction block. This keeps the set of *static* branch
@@ -141,42 +144,42 @@ Instruction SyntheticTrace::synthesize() {
   // CR-logical ops (POWER cores have rich CR traffic), so branch density is
   // carried by block_len.
   const bool grid_slot =
-      block_offset_ == static_cast<std::uint64_t>(profile_.block_len) - 1;
+      walk_.block_offset == static_cast<std::uint64_t>(profile_.block_len) - 1;
   if (grid_slot) {
     ins.op = OpClass::kBranch;
   } else if (ins.op == OpClass::kBranch) {
     ins.op = OpClass::kLogicalCr;
   }
 
-  ins.pc = pc_;
+  ins.pc = walk_.pc;
   const bool fp = is_fp(ins.op);
 
   switch (ins.op) {
     case OpClass::kLoad: {
       ins.src1 = pick_source(false);  // address register
-      ins.mem_addr = gen_mem_addr();
+      ins.mem_addr = gen_mem_addr(walk_.rng);
       break;
     }
     case OpClass::kStore: {
       ins.src1 = pick_source(false);           // address register
-      ins.src2 = pick_source(rng_.bernoulli(0.3));  // data register
-      ins.mem_addr = gen_mem_addr();
+      ins.src2 = pick_source(walk_.rng.bernoulli_bits(fp_store_data_bits_));
+      ins.mem_addr = gen_mem_addr(walk_.rng);
       break;
     }
     case OpClass::kBranch: {
       ins.src1 = pick_source(false);
       // Preferred direction is a fixed property of the static branch; the
       // dynamic outcome deviates with probability branch_noise.
-      const std::uint64_t h = pc_hash(ins.pc);
-      const bool preferred =
-          (h & 0x3ff) < static_cast<std::uint64_t>(profile_.taken_bias * 1024.0);
+      const bool preferred = sites_[walk_.block_index].preferred_taken;
       ins.branch_taken =
-          rng_.bernoulli(profile_.branch_noise) ? !preferred : preferred;
+          walk_.rng.bernoulli_bits(noise_bits_) ? !preferred : preferred;
       break;
     }
     default: {
       ins.src1 = pick_source(fp);
-      if (rng_.bernoulli(profile_.second_source_prob)) ins.src2 = pick_source(fp);
+      if (walk_.rng.bernoulli_bits(second_source_bits_)) {
+        ins.src2 = pick_source(fp);
+      }
       break;
     }
   }
@@ -194,72 +197,8 @@ Instruction SyntheticTrace::synthesize() {
     }
   }
 
-  advance_pc(ins);
+  advance_pc(ins, walk_);
   return ins;
-}
-
-Instruction SyntheticTrace::synthesize_functional() {
-  Instruction ins;
-  ins.op = static_cast<OpClass>(mix_.sample(rng_));
-
-  // Same static branch grid as synthesize() — pc_ evolves identically on
-  // both paths, so the set of static branch sites is shared.
-  const bool grid_slot =
-      block_offset_ == static_cast<std::uint64_t>(profile_.block_len) - 1;
-  if (grid_slot) {
-    ins.op = OpClass::kBranch;
-  } else if (ins.op == OpClass::kBranch) {
-    ins.op = OpClass::kLogicalCr;
-  }
-
-  ins.pc = pc_;
-
-  // Only the fields the warming pass consumes: no register draws, no
-  // recent-producer bookkeeping. The RNG therefore advances differently
-  // than on the next() path — deterministic, same distributions.
-  switch (ins.op) {
-    case OpClass::kLoad:
-    case OpClass::kStore:
-      ins.mem_addr = gen_mem_addr();
-      break;
-    case OpClass::kBranch: {
-      const std::uint64_t h = pc_hash(ins.pc);
-      const bool preferred =
-          (h & 0x3ff) < static_cast<std::uint64_t>(profile_.taken_bias * 1024.0);
-      ins.branch_taken =
-          rng_.bernoulli(profile_.branch_noise) ? !preferred : preferred;
-      break;
-    }
-    default:
-      break;
-  }
-
-  advance_pc(ins);
-  return ins;
-}
-
-void SyntheticTrace::advance_pc(Instruction& ins) {
-  if (ins.op == OpClass::kBranch) {
-    // Branches occupy only the last slot of a block, and both exits land on
-    // a block base (taken targets are block-aligned; not-taken falls into
-    // the next block or wraps), so the block offset resets to zero.
-    block_offset_ = 0;
-    if (ins.branch_taken) {
-      // Jump to this static branch's fixed target block (BTB-learnable).
-      const std::uint64_t block =
-          (pc_hash(ins.pc) >> 10) % static_cast<std::uint64_t>(profile_.code_blocks);
-      ins.branch_target =
-          0x10000 + block * static_cast<std::uint64_t>(profile_.block_len) * kInstrBytes;
-      pc_ = ins.branch_target;
-    } else {
-      ins.branch_target = pc_ + kInstrBytes;
-      pc_ += kInstrBytes;
-      if (pc_ >= 0x10000 + code_span_) pc_ = 0x10000;
-    }
-  } else {
-    pc_ += kInstrBytes;
-    ++block_offset_;
-  }
 }
 
 }  // namespace ramp::trace

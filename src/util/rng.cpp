@@ -19,30 +19,29 @@ void Xoshiro256::reseed(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Xoshiro256::below(std::uint64_t n) {
-  RAMP_REQUIRE(n > 0, "below(n) needs n >= 1");
-  // Lemire's multiply-shift with rejection to remove modulo bias.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * n;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < n) {
-    const std::uint64_t threshold = (0 - n) % n;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * n;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
+void Xoshiro256::below_needs_positive_range() {
+  detail::throw_invalid("n > 0", __FILE__, __LINE__, "below(n) needs n >= 1");
 }
 
 std::uint64_t Xoshiro256::geometric(double p) {
   RAMP_REQUIRE(p > 0.0 && p <= 1.0, "geometric(p) needs p in (0, 1]");
   if (p >= 1.0) return 0;
+  return geometric_log1m(std::log1p(-p));
+}
+
+std::uint64_t Xoshiro256::geometric_log1m(double log1m_p) {
   // Inverse-CDF: floor(ln(U) / ln(1-p)) with U in (0, 1].
   const double u = 1.0 - uniform();  // (0, 1]
-  const double draws = std::floor(std::log(u) / std::log1p(-p));
+  const double draws = std::floor(std::log(u) / log1m_p);
   return draws < 0.0 ? 0 : static_cast<std::uint64_t>(draws);
+}
+
+std::uint64_t Xoshiro256::bernoulli_threshold(double p) {
+  // uniform() = k * 2^-53 for the draw's top 53 bits k, so uniform() < p
+  // iff k < p * 2^53 (exact: a power-of-two scaling) iff k < ceil(p * 2^53).
+  if (!(p > 0.0)) return 0;  // never true (also for NaN)
+  if (p >= 1.0) return std::uint64_t{1} << 53;  // always true
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
 double Xoshiro256::normal() {
@@ -62,8 +61,8 @@ void AliasTable::rebuild(std::span<const double> weights) {
   }
   RAMP_REQUIRE(total > 0.0, "alias table needs a positive total weight");
 
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
+  std::vector<double> prob(n, 0.0);
+  std::vector<std::uint32_t> alias(n, 0);
 
   // Scaled probabilities; categories above/below 1 feed Walker's pairing.
   std::vector<double> scaled(n);
@@ -78,22 +77,25 @@ void AliasTable::rebuild(std::span<const double> weights) {
     const std::uint32_t s = small.back();
     const std::uint32_t l = large.back();
     small.pop_back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
+    prob[s] = scaled[s];
+    alias[s] = l;
     scaled[l] = (scaled[l] + scaled[s]) - 1.0;
     if (scaled[l] < 1.0) {
       large.pop_back();
       small.push_back(l);
     }
   }
-  for (std::uint32_t l : large) prob_[l] = 1.0;
-  for (std::uint32_t s : small) prob_[s] = 1.0;  // numerical leftovers
+  for (std::uint32_t l : large) prob[l] = 1.0;
+  for (std::uint32_t s : small) prob[s] = 1.0;  // numerical leftovers
+  slots_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    slots_[i] = {Xoshiro256::bernoulli_threshold(prob[i]), alias[i]};
+  }
 }
 
-std::size_t AliasTable::sample(Xoshiro256& rng) const {
-  RAMP_REQUIRE(!prob_.empty(), "sampling from an empty alias table");
-  const std::size_t i = static_cast<std::size_t>(rng.below(prob_.size()));
-  return rng.uniform() < prob_[i] ? i : alias_[i];
+void AliasTable::sample_needs_categories() {
+  detail::throw_invalid("size() > 0", __FILE__, __LINE__,
+                        "sampling from an empty alias table");
 }
 
 }  // namespace ramp

@@ -98,14 +98,43 @@ class Xoshiro256 {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-  /// Uniform integer in [0, n). Rejection-free Lemire reduction.
-  std::uint64_t below(std::uint64_t n);
+  /// Uniform integer in [0, n) by Lemire's multiply-shift, with rejection
+  /// to remove modulo bias. Inline: trace synthesis draws several per
+  /// instruction.
+  std::uint64_t below(std::uint64_t n) {
+    if (n == 0) [[unlikely]] below_needs_positive_range();
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * n;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < n) {
+      const std::uint64_t threshold = (0 - n) % n;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * n;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Bernoulli draw with probability p of returning true.
   bool bernoulli(double p) { return uniform() < p; }
 
+  /// The integer form of bernoulli(p): with `threshold` =
+  /// bernoulli_threshold(p) it takes the same draw and returns the same
+  /// outcome, comparing the draw's top 53 bits instead of converting them
+  /// to a double (uniform() is exactly those bits times 2^-53).
+  bool bernoulli_bits(std::uint64_t threshold) {
+    return ((*this)() >> 11) < threshold;
+  }
+  static std::uint64_t bernoulli_threshold(double p);
+
   /// Geometric draw: number of failures before first success, success prob p.
   std::uint64_t geometric(double p);
+
+  /// geometric(p) for p < 1 with `log1m_p` = std::log1p(-p) hoisted by the
+  /// caller: the same draw and the same arithmetic, minus one log per call.
+  std::uint64_t geometric_log1m(double log1m_p);
 
   /// Standard normal via Box-Muller (no cached second value; simple and
   /// deterministic call-for-call).
@@ -115,6 +144,8 @@ class Xoshiro256 {
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
 
  private:
+  [[noreturn]] static void below_needs_positive_range();
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
@@ -131,14 +162,28 @@ class AliasTable {
   void rebuild(std::span<const double> weights);
 
   /// Number of categories (0 when default-constructed).
-  std::size_t size() const { return prob_.size(); }
+  std::size_t size() const { return slots_.size(); }
 
   /// Draws a category index in [0, size()).
-  std::size_t sample(Xoshiro256& rng) const;
+  std::size_t sample(Xoshiro256& rng) const {
+    if (slots_.empty()) [[unlikely]] sample_needs_categories();
+    const std::size_t i = static_cast<std::size_t>(rng.below(slots_.size()));
+    // Both outcomes are loaded before the compare so the pick compiles to
+    // a conditional move: the coin is random, a branch on it mispredicts.
+    const Slot& slot = slots_[i];
+    const bool keep = rng.bernoulli_bits(slot.keep_bits);
+    const std::size_t alias = slot.alias;
+    return keep ? i : alias;
+  }
 
  private:
-  std::vector<double> prob_;
-  std::vector<std::uint32_t> alias_;
+  [[noreturn]] static void sample_needs_categories();
+
+  struct Slot {
+    std::uint64_t keep_bits;  ///< bernoulli_threshold of keeping the slot
+    std::uint32_t alias;      ///< the category drawn otherwise
+  };
+  std::vector<Slot> slots_;
 };
 
 }  // namespace ramp

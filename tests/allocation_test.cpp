@@ -2,8 +2,9 @@
 // allocation functions with counting wrappers and asserts that the
 // per-interval kernels (LU solve, steady state, transient step, FIT
 // accumulation) perform no heap traffic once their workspaces are warm, and
-// that the evaluator's per-interval cost is allocation-free in the
-// amortized sense (doubling the interval count adds only vector growth).
+// that the evaluator's per-interval cost and the detailed core's
+// per-instruction cost are allocation-free in the amortized sense (doubling
+// the work adds only vector growth).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -143,13 +144,12 @@ std::uint64_t sim_only_allocs(std::uint64_t instructions) {
 }
 
 TEST(AllocationTest, EvaluatorIntervalLoopIsAmortizedAllocationFree) {
-  // Differential probe: the timing simulation's containers (ROB deque,
-  // fetch buffer, interval log) allocate as the trace grows, but the
-  // physics loop downstream of it must not — its per-interval work runs
-  // entirely in the hoisted workspace. Subtracting a sim-only run at each
-  // size cancels the simulator's share exactly; what remains is the
-  // physics loop's growth, which must be a small constant (amortized
-  // vector growth only).
+  // Differential probe: the timing simulation's interval log allocates as
+  // the trace grows, but the physics loop downstream of it must not — its
+  // per-interval work runs entirely in the hoisted workspace. Subtracting a
+  // sim-only run at each size cancels the simulator's share exactly; what
+  // remains is the physics loop's growth, which must be a small constant
+  // (amortized vector growth only).
   evaluation_allocs(20'000);  // warm lazy statics (workload tables etc.)
   sim_only_allocs(20'000);
   const std::uint64_t eval1 = evaluation_allocs(40'000);
@@ -161,6 +161,18 @@ TEST(AllocationTest, EvaluatorIntervalLoopIsAmortizedAllocationFree) {
   ASSERT_GE(eval_growth, sim_growth);
   EXPECT_LE(eval_growth - sim_growth, 64u)
       << "eval growth " << eval_growth << " vs sim growth " << sim_growth;
+}
+
+TEST(AllocationTest, DetailedCoreRunGrowsOnlyWithTheIntervalLog) {
+  // The ROB and the fetch buffer are fixed rings sized at construction, and
+  // the issue queues and MSHR fill queue stop growing at their structural
+  // caps, so doubling the trace adds only the interval log's amortized
+  // doublings.
+  sim_only_allocs(20'000);  // warm lazy statics
+  const std::uint64_t sim1 = sim_only_allocs(40'000);
+  const std::uint64_t sim2 = sim_only_allocs(80'000);
+  ASSERT_GE(sim2, sim1);
+  EXPECT_LE(sim2 - sim1, 8u) << "40k: " << sim1 << " allocs, 80k: " << sim2;
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // without bound, and graceful drain answers everything it accepted —
 // counters prove nothing accepted is ever silently lost.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <csignal>
@@ -450,8 +451,10 @@ TEST(NetServerTest, TraceDumpReturnsRecentRequestsAsPerfetto) {
 }
 
 TEST(NetServerTest, SlowLogWithZeroThresholdCapturesEveryTracedRequest) {
-  const std::string path =
-      ::testing::TempDir() + "ramp_net_server_slow_test.ndjson";
+  // Unique per process: parallel ctest runs share the temp directory.
+  const std::string path = ::testing::TempDir() +
+                           "ramp_net_server_slow_test_" +
+                           std::to_string(::getpid()) + ".ndjson";
   std::remove(path.c_str());
   {
     serve::EvalService service(tiny_config(), {});

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "sim/ooo_core.hpp"
 #include "trace/synthetic_generator.hpp"
@@ -14,9 +17,14 @@
 namespace ramp::trace {
 namespace {
 
+// Each test gets its own file (test name + pid): ctest runs the tests of
+// this suite as parallel processes sharing one temp directory.
 class TraceIoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "ramp_trace_test.bin";
+  std::string path_ =
+      ::testing::TempDir() + "ramp_trace_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".bin";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
