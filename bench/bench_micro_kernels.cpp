@@ -14,7 +14,6 @@
 #include "obs/timeline.hpp"
 #include "pipeline/evaluator.hpp"
 #include "pipeline/stage_graph.hpp"
-#include "sim/interval_model.hpp"
 #include "sim/ooo_core.hpp"
 #include "sim/sampled_core.hpp"
 #include "sim/sim_mode.hpp"
@@ -96,20 +95,6 @@ void BM_SimSampled(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SimSampled);
-
-void BM_SimInterval(benchmark::State& state) {
-  const auto cfg = sim::core_config_for(scaling::base_node());
-  const auto& w = sim_bench_workload();
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    trace::SyntheticTrace t(w.profile, kSimBenchInstructions, 42);
-    sim::IntervalModel model(cfg);
-    benchmark::DoNotOptimize(model.run(t, 1100).totals.cycles);
-    n += kSimBenchInstructions;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SimInterval);
 
 void BM_ThermalSteadyState(benchmark::State& state) {
   const thermal::RcNetwork net(thermal::power4_floorplan(), {});

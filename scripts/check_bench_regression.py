@@ -18,8 +18,11 @@ at once is invisible in normalized mode — use ``--absolute`` on a machine
 comparable to the baseline's (e.g. locally, before blessing a new
 baseline) to check raw ratios instead.
 
-Ops present on only one side are reported but never fail the gate (new
-benchmarks need a baseline refresh, not a red build).
+An op measured now but absent from the baseline is reported and does not
+fail the gate (a new benchmark needs a baseline refresh, not a red build).
+An op in the baseline but missing from the current run *does* fail it: a
+deleted or renamed kernel must not silently leave the gate, so removing one
+means removing its baseline entry in the same change.
 
 ``--ratio FAST_OP:SLOW_OP:MIN`` additionally asserts a speedup contract
 *within the current run*: SLOW_OP's ns_per_iter must be at least MIN times
@@ -110,8 +113,11 @@ def main() -> int:
     for op in sorted(set(current) - set(baseline)):
         print(f"note: {op}: no baseline entry (refresh the baseline to "
               f"track it)")
+    failures = []
     for op in sorted(set(baseline) - set(current)):
-        print(f"note: {op}: in baseline but not measured this run")
+        print(f"FAIL: {op}: in baseline but not measured this run (drop "
+              f"its baseline entry if the benchmark was removed)")
+        failures.append(f"missing:{op}")
 
     # Ops at or below the timer's resolution (sub-ns kernels, e.g. a
     # disabled-metrics no-op) produce ratios that are pure noise; report
@@ -137,7 +143,6 @@ def main() -> int:
     print(f"comparing {len(gated)} op(s), {mode}, "
           f"threshold +{args.threshold:.0%}")
 
-    failures = []
     for op in gated:
         rel = ratios[op] / scale
         marker = ""

@@ -154,11 +154,7 @@ struct Server::Impl {
         opts(std::move(o)),
         tracing(opts.request_trace || !opts.slow_log_path.empty()),
         ring(opts.trace_ring) {
-    if (opts.listen_fd >= 0) {
-      listener = OwnedFd(opts.listen_fd);
-    } else {
-      listener = listen_tcp(opts.host, opts.port);
-    }
+    listener = listen_tcp(opts.host, opts.port);
     if (!opts.slow_log_path.empty()) {
       slow_log.open(opts.slow_log_path, std::ios::app);
       slow_ns = static_cast<std::uint64_t>(opts.slow_ms * 1e6);
@@ -289,7 +285,6 @@ struct Server::Impl {
         info.accepted_connections = counters.accepted_connections;
         info.active_connections = conns.size();
         info.draining = draining;
-        info.shards = opts.shards;
         push_ready(c, serve::health_response(req, info).dump());
         c.slots.back().accepted = t0;
         return;

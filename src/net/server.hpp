@@ -47,10 +47,6 @@ namespace ramp::net {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0: bind an ephemeral port (read via port())
-  /// Adopt a pre-bound, pre-listening fd instead of binding host:port —
-  /// how shard workers inherit their listener across fork(). The server
-  /// takes ownership.
-  int listen_fd = -1;
   std::size_t max_connections = 256;
   /// Global cap on accepted-but-unanswered *work* requests (eval, timeline,
   /// fleet) across all connections; beyond it new work is shed.
@@ -73,9 +69,6 @@ struct ServerOptions {
   double slow_ms = 10.0;
   /// Capacity of the recent-trace ring behind the `trace_dump` op.
   std::size_t trace_ring = 512;
-  /// Shard count the `health` op reports (a sharded worker inherits the
-  /// front's count; a standalone server is its own single shard).
-  std::uint64_t shards = 1;
 };
 
 /// Monotonic transport counters; also exported as ramp_net_* metrics on the

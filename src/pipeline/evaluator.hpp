@@ -77,12 +77,12 @@ struct EvaluationConfig {
   /// CLI layer a bare `--stage-cache` means "<out-dir>/stage_cache".
   std::string stage_cache_dir;
   /// Timing-simulation mode (see sim/sim_mode.hpp): detailed cycle-accurate
-  /// OooCore (default), SMARTS-style sampled, the analytical interval
-  /// model, or auto (resolved per run by resolved_sim_mode()). Fast modes
-  /// change sim-stage results, so the *resolved* mode and its sampling
-  /// parameters join config_hash / the sim stage key whenever it is not
-  /// detailed — the detailed hash and `sim.v1` key stay frozen, keeping
-  /// warm caches valid and default output byte-identical.
+  /// OooCore (default), SMARTS-style sampled, or auto (resolved per run by
+  /// resolved_sim_mode()). Sampled mode changes sim-stage results, so the
+  /// *resolved* mode and its sampling parameters join config_hash / the sim
+  /// stage key whenever it is not detailed — the detailed hash and `sim.v1`
+  /// key stay frozen, keeping warm caches valid and default output
+  /// byte-identical.
   sim::SimMode sim_mode = sim::SimMode::kDetailed;
   /// Sampling parameters for sampled mode (ignored by other modes).
   sim::SampledParams sampled{};
@@ -98,7 +98,7 @@ struct EvaluationConfig {
   ///   RAMP_TRACE_OUT     default Chrome-trace output file
   ///   RAMP_WATCHDOG_TEMP_K  over-temperature trip point (Kelvin)
   ///   RAMP_STAGE_CACHE   off (default) / on (in-memory) / a persist directory
-  ///   RAMP_SIM_MODE      detailed (default) / sampled / interval / auto
+  ///   RAMP_SIM_MODE      detailed (default) / sampled / auto
   ///   RAMP_SIM_PERIOD    sampled: instructions per sampling period
   ///   RAMP_SIM_WARMUP    sampled: detailed warm-up instructions per unit
   ///   RAMP_SIM_MEASURE   sampled: instructions per measurement window
@@ -113,9 +113,8 @@ struct EvaluationConfig {
 /// The concrete mode `auto` resolves to for this config: detailed below
 /// 1M trace instructions (where sampling neither pays off nor meets its
 /// ±2% tolerance contract), sampled from 1M up. Non-auto modes resolve
-/// to themselves; `auto` never resolves to interval. Resolution happens
-/// *before* hashing/keying, so an auto config with a long trace caches
-/// under the sampled key.
+/// to themselves. Resolution happens *before* hashing/keying, so an auto
+/// config with a long trace caches under the sampled key.
 sim::SimMode resolved_sim_mode(const EvaluationConfig& cfg);
 
 /// One recorded transient sample (record_intervals = true).

@@ -8,7 +8,6 @@
 #include "core/ramp_model.hpp"
 #include "obs/timeline.hpp"
 #include "sim/core_config.hpp"
-#include "sim/interval_model.hpp"
 #include "sim/ooo_core.hpp"
 #include "sim/sampled_core.hpp"
 #include "thermal/floorplan.hpp"
@@ -103,9 +102,6 @@ StageKey sim_stage_key(const StageKey& trace_key, double frequency_hz,
               "|w=" + std::to_string(sampled.warmup) +
               "|m=" + std::to_string(sampled.measure) +
               "|k=" + std::to_string(sampled.windows)};
-    case sim::SimMode::kInterval:
-      return {"sim.interval.v1" + base +
-              "|k=" + std::to_string(sim::kIntervalModelCalibration)};
     default:
       // Detailed keeps the frozen PR 6 tag: warm caches stay valid.
       return {"sim.v1" + base};
@@ -220,12 +216,6 @@ SimStageOut run_sim_stage(const EvaluationConfig& cfg,
       sim::SampledCore core(core_cfg, cfg.sampled);
       out.result = core.run(stream, interval_cycles);
       fast = core.fast_stats();
-      break;
-    }
-    case sim::SimMode::kInterval: {
-      sim::IntervalModel model(core_cfg);
-      out.result = model.run(stream, interval_cycles);
-      fast = model.fast_stats();
       break;
     }
     default: {

@@ -15,10 +15,9 @@
 //
 // Key derivation (see docs/API_GUIDE.md "Stage graph & caching"):
 //   trace   app name, generator profile, trace_instructions, seed
-//   sim     trace key + frequency_hz + interval_seconds; fast sim modes get
-//           their own version tags (sim.sampled.v1 embeds the sampling
-//           parameters, sim.interval.v1 the calibration length) while
-//           detailed keeps the frozen sim.v1 tag
+//   sim     trace key + frequency_hz + interval_seconds; sampled mode gets
+//           its own version tag (sim.sampled.v1 embeds the sampling
+//           parameters) while detailed keeps the frozen sim.v1 tag
 //   power   sim key + power_bias + unconstrained_w_180nm + clock_gating_floor
 //           + relative_capacitance + vdd + frequency_hz
 //   thermal power key + the nine ThermalConfig fields + leakage_beta
@@ -89,10 +88,10 @@ struct TraceStageIn {
 
 StageKey trace_stage_key(const TraceStageIn& in);
 /// Sim stage key. `mode` must be resolved (never kAuto). Detailed keeps the
-/// frozen `sim.v1` tag; fast modes get their own tags with the parameters
-/// that shape the estimate embedded (`sim.sampled.v1|…|p=…|w=…|m=…|k=…`,
-/// `sim.interval.v1|…`), so a cached fast-path payload can never answer a
-/// detailed request or a differently-parameterized fast one.
+/// frozen `sim.v1` tag; sampled mode gets its own tag with the parameters
+/// that shape the estimate embedded (`sim.sampled.v1|…|p=…|w=…|m=…|k=…`),
+/// so a cached sampled payload can never answer a detailed request or a
+/// differently-parameterized sampled one.
 StageKey sim_stage_key(const StageKey& trace_key, double frequency_hz,
                        double interval_seconds,
                        sim::SimMode mode = sim::SimMode::kDetailed,

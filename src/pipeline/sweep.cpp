@@ -130,20 +130,18 @@ std::uint64_t config_hash(const EvaluationConfig& cfg) {
   h.mix(cfg.thermal.c_silicon);
   h.mix(cfg.thermal.spreader_capacitance);
   h.mix(cfg.thermal.sink_capacitance);
-  // Fast sim modes change sim-stage results, so the *resolved* mode joins
+  // Sampled mode changes sim-stage results, so the *resolved* mode joins
   // the hash — but only then: a detailed config (including auto resolving
   // to detailed) hashes exactly as before, keeping existing sweep caches
-  // valid.
+  // valid. The numeric SimMode value is mixed, so its values are frozen.
   const sim::SimMode mode = resolved_sim_mode(cfg);
-  if (mode != sim::SimMode::kDetailed) {
+  if (mode == sim::SimMode::kSampled) {
     h.mix(std::uint64_t{0x73696d5f6d6f6465});  // "sim_mode" domain separator
     h.mix(static_cast<std::uint64_t>(mode));
-    if (mode == sim::SimMode::kSampled) {
-      h.mix(cfg.sampled.period);
-      h.mix(cfg.sampled.warmup);
-      h.mix(cfg.sampled.measure);
-      h.mix(cfg.sampled.windows);
-    }
+    h.mix(cfg.sampled.period);
+    h.mix(cfg.sampled.warmup);
+    h.mix(cfg.sampled.measure);
+    h.mix(cfg.sampled.windows);
   }
   return h.value();
 }
@@ -162,15 +160,12 @@ std::string canonical_config(const EvaluationConfig& cfg) {
       << ',' << cfg.thermal.die_thickness << ',' << cfg.thermal.c_silicon
       << ',' << cfg.thermal.spreader_capacitance << ','
       << cfg.thermal.sink_capacitance;
-  // Appended only for fast modes so detailed strings stay byte-identical.
-  const sim::SimMode mode = resolved_sim_mode(cfg);
-  if (mode != sim::SimMode::kDetailed) {
-    out << ";sim_mode=" << sim::sim_mode_name(mode);
-    if (mode == sim::SimMode::kSampled) {
-      out << ";period=" << cfg.sampled.period << ";warmup=" << cfg.sampled.warmup
-          << ";measure=" << cfg.sampled.measure
-          << ";windows=" << cfg.sampled.windows;
-    }
+  // Appended only for sampled mode so detailed strings stay byte-identical.
+  if (resolved_sim_mode(cfg) == sim::SimMode::kSampled) {
+    out << ";sim_mode=sampled;period=" << cfg.sampled.period
+        << ";warmup=" << cfg.sampled.warmup
+        << ";measure=" << cfg.sampled.measure
+        << ";windows=" << cfg.sampled.windows;
   }
   return out.str();
 }

@@ -81,8 +81,7 @@ struct EvalRequest {
   bool trace = false;
   std::string trace_id;
   /// Metrics op only: response payload format, "prometheus" (default) or
-  /// "json" (the to_ndjson snapshot — what the sharded front fans out to
-  /// merge shard registries).
+  /// "json" (the to_ndjson snapshot, raw counters and bucket counts).
   std::string metrics_format;
 
   /// The effective evaluation config: `base` with this request's overrides.

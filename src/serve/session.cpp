@@ -109,8 +109,7 @@ Json metrics_response(EvalService& service, const EvalRequest& req,
   r.set("ok", true).set("op", "metrics");
   set_id(r, req.id);
   if (req.metrics_format == "json") {
-    // The machine-mergeable form: raw bucket counts and counters, which is
-    // what the sharded front fans out to sum shard registries (Prometheus
+    // The machine-readable form: raw bucket counts and counters (Prometheus
     // text would lose the per-bucket structure behind formatting).
     r.set("snapshot", Json::parse(obs::to_ndjson(snap, &profile)));
   } else {
@@ -128,7 +127,7 @@ Json health_response(const EvalRequest& req, const HealthInfo& info) {
       .set("accepted_connections", info.accepted_connections)
       .set("active_connections", info.active_connections)
       .set("draining", info.draining)
-      .set("shards", info.shards);
+      .set("shards", 1);
   return r;
 }
 

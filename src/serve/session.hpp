@@ -81,17 +81,17 @@ Json metrics_reset_response(EvalService& service, const EvalRequest& req,
 /// What the `health` op reports — the front-end owning the transport fills
 /// this in (the stdio loop and the TCP server know different things).
 struct HealthInfo {
-  std::string mode;  ///< "stdio", "tcp", "front" (sharded)
+  std::string mode;  ///< "stdio" or "tcp"
   double uptime_s = 0.0;
   std::uint64_t accepted_connections = 0;
   std::uint64_t active_connections = 0;
   bool draining = false;
-  std::uint64_t shards = 1;
 };
 
 /// {"ok":true,"op":"health","id":...,"mode":...,"uptime_s":...,
 ///  "accepted_connections":...,"active_connections":...,"draining":bool,
-///  "shards":...} — the load-balancer readiness probe.
+///  "shards":1} — the load-balancer readiness probe. "shards" is a
+///  constant, kept so existing probes keep parsing.
 Json health_response(const EvalRequest& req, const HealthInfo& info);
 
 /// One request trace as the `"trace"` object attached to a traced response:

@@ -1,27 +1,24 @@
 // Timing-simulation mode selection for the sim stage.
 //
-// The pipeline can estimate IPC and per-structure activity three ways:
+// The pipeline can estimate IPC and per-structure activity two ways, plus a
+// per-run choice between them:
 //
 //   detailed — the cycle-accurate OooCore (the reference; default).
 //   sampled  — SMARTS-style systematic sampling (SampledCore): short
 //              detailed measurement units separated by a functional
 //              fast-forward that keeps caches and the branch predictor
 //              warm.  Reports statistical confidence bounds.
-//   interval — an analytical scoreboard/interval model (IntervalModel)
-//              driven by functionally-collected miss and mispredict
-//              events, calibrated against a detailed prefix of the run.
-//   auto     — resolves per run: detailed for short traces (where the
-//              fast paths cannot amortize their fixed cost), sampled
-//              otherwise.  Never resolves to interval.
+//   auto     — resolves per run: detailed for short traces (where
+//              sampling cannot amortize its fixed cost), sampled
+//              otherwise.
 //
-// Fast modes trade exactness for speed under a documented tolerance
-// contract (sampled: ±2% IPC, ±0.02 absolute activity vs OooCore on the
-// synthetic suite from ~1M trace instructions; interval: coarser, ±5%
-// IPC; see docs/PERFORMANCE.md and `ramp simcheck`).  Because their
-// results differ from detailed ones, the resolved mode and its sampling
-// parameters are embedded in sim-stage cache keys and in the sweep
-// config hash — a cached fast-path payload can never answer a detailed
-// request.
+// Sampled mode trades exactness for speed under a documented tolerance
+// contract (±2% whole-run IPC, ±0.02 absolute *average* activity vs
+// OooCore on the synthetic suite from ~1M trace instructions; see
+// docs/PERFORMANCE.md and `ramp simcheck`).  Because its results differ
+// from detailed ones, the resolved mode and its sampling parameters are
+// embedded in sim-stage cache keys and in the sweep config hash — a cached
+// sampled payload can never answer a detailed request.
 #pragma once
 
 #include <cstdint>
@@ -29,14 +26,17 @@
 
 namespace ramp::sim {
 
+/// The numeric values are frozen: config_hash mixes the resolved mode, so
+/// renumbering would orphan every persisted sampled sweep cache. Value 2 is
+/// retired: sweep caches hashed with it hold a removed estimator's results,
+/// and reusing the value could let them answer a new mode.
 enum class SimMode : std::uint8_t {
   kDetailed = 0,
   kSampled = 1,
-  kInterval = 2,
   kAuto = 3,
 };
 
-/// Canonical lower-case name ("detailed" | "sampled" | "interval" | "auto").
+/// Canonical lower-case name ("detailed" | "sampled" | "auto").
 std::string_view sim_mode_name(SimMode mode);
 
 /// Parses a canonical mode name.  Throws InvalidArgument on anything else —
@@ -63,8 +63,9 @@ struct SampledParams {
   std::uint64_t measure = 3'500;
   std::uint64_t windows = 2;
 
-  /// Throws InvalidArgument unless windows >= 1 and
-  /// 0 < warmup + windows*measure <= period.
+  /// Throws InvalidArgument unless warmup, measure and windows are all
+  /// positive and warmup + windows*measure <= period (checked without
+  /// overflow: huge windows/measure values must not wrap into range).
   void validate() const;
 };
 

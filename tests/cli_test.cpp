@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/export.hpp"
 #include "serve/json.hpp"
 
 namespace ramp {
@@ -40,8 +39,13 @@ RunResult run_cli(const std::string& args, const std::string& stdin_doc = "",
   std::string cmd = "cd '" + scratch + "' && RAMP_OUT_DIR='" + scratch +
                     "' RAMP_CACHE=off " + env + " '" RAMP_CLI_PATH "' " +
                     args + " 2>/dev/null";
+  std::string doc;
   if (!stdin_doc.empty()) {
-    const std::string doc = scratch + "/stdin.ndjson";
+    // Per process and call: ctest -j runs test cases as concurrent
+    // processes, and a shared file lets one case read another's requests.
+    static int seq = 0;
+    doc = scratch + "/stdin_" + std::to_string(::getpid()) + "_" +
+          std::to_string(seq++) + ".ndjson";
     std::FILE* f = std::fopen(doc.c_str(), "w");
     EXPECT_NE(f, nullptr);
     std::fwrite(stdin_doc.data(), 1, stdin_doc.size(), f);
@@ -59,6 +63,7 @@ RunResult run_cli(const std::string& args, const std::string& stdin_doc = "",
     r.output.append(buf, n);
   }
   const int status = ::pclose(pipe);
+  if (!doc.empty()) fs::remove(doc);
   r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return r;
 }
@@ -73,10 +78,15 @@ TEST(CliTest, MalformedFlagValueFailsLoudly) {
   EXPECT_EQ(run_cli("evaluate gcc 90 --trace-len 12abc").exit_code, 1);
   EXPECT_EQ(run_cli("evaluate gcc 90 --trace-len -5").exit_code, 1);
   EXPECT_EQ(run_cli("serve --jobs zero").exit_code, 1);
+  // A retired sim mode is a strict-parse error, not a fallback.
+  EXPECT_EQ(run_cli("sweep --sim-mode interval").exit_code, 1);
 }
 
 TEST(CliTest, UnknownServeArgumentRejected) {
   EXPECT_EQ(run_cli("serve --frobnicate").exit_code, 2);
+  // Removed options are unknown, not silently ignored.
+  EXPECT_EQ(run_cli("serve --shards 2").exit_code, 2);
+  EXPECT_EQ(run_cli("simcheck --mode sampled").exit_code, 2);
 }
 
 TEST(CliTest, EvaluateOneCell) {
@@ -398,7 +408,7 @@ TEST(CliTest, FleetRejectsGarbage) {
   EXPECT_EQ(run_cli("fleet", "", "RAMP_FLEET_POLICY=turbo").exit_code, 1);
 }
 
-// ---- Serving: fleet op, client death, signals, TCP, sharding ---------------
+// ---- Serving: fleet op, client death, signals, TCP -------------------------
 
 /// Writes `body` to a scratch script and runs `bash script <args...>`.
 /// Returns the script's exit code (-1 if it died on a signal).
@@ -555,141 +565,6 @@ exit $?
   EXPECT_EQ(answer.find("result")->dump(), expected.find("result")->dump());
   EXPECT_EQ(answer.find("key")->as_string(),
             expected.find("key")->as_string());
-  fs::remove_all(dir);
-}
-
-TEST(CliTest, ShardedServeRoutesKeysToDisjointCaches) {
-  // Two shard workers, one front. Each eval key must persist in exactly one
-  // shard's cache directory — the consistent-hash routing is what makes the
-  // per-key single-flight guarantee hold fleet-wide.
-  const std::string script = R"SH(
-set -u
-ramp=$1; dir=$2
-RAMP_CACHE=on "$ramp" serve --listen 127.0.0.1:0 --shards 2 \
-  --port-file "$dir/port" --trace-len 2000 --out-dir "$dir/out" \
-  > /dev/null 2>&1 &
-pid=$!
-for i in $(seq 1 100); do [ -s "$dir/port" ] && break; sleep 0.1; done
-port=$(cat "$dir/port")
-# 180 nm keys only: a scaled node would drag the shared 180 nm base-run
-# entry into BOTH shard caches as a dependency and muddy the disjointness
-# check; at 180 nm each key's dependency closure is itself.
-for app in gcc gzip twolf crafty ammp mesa; do
-  exec 3<> "/dev/tcp/127.0.0.1/$port"
-  printf '{"op":"eval","app":"%s","node":"180","trace_len":2000}\n' \
-    "$app" >&3
-  IFS= read -r line <&3 || exit 3
-  case "$line" in *'"ok":true'*) ;; *) echo "$line"; exit 4 ;; esac
-  exec 3<&- 3>&-
-done
-exec 3<> "/dev/tcp/127.0.0.1/$port"
-printf '{"op":"shutdown"}\n' >&3
-IFS= read -r bye <&3 || true
-exec 3<&- 3>&-
-wait "$pid"
-exit $?
-)SH";
-  const fs::path dir = fs::temp_directory_path() / "ramp_cli_shards";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  ASSERT_EQ(run_bash(script, {RAMP_CLI_PATH, dir.string()}), 0);
-
-  // Both shards persisted something, and no blob digest appears in both —
-  // the keyspace split is real, not cosmetic.
-  std::vector<std::string> shard0, shard1;
-  for (const auto& e :
-       fs::directory_iterator(dir / "out" / "serve_cache" / "shard-0")) {
-    shard0.push_back(e.path().filename().string());
-  }
-  for (const auto& e :
-       fs::directory_iterator(dir / "out" / "serve_cache" / "shard-1")) {
-    shard1.push_back(e.path().filename().string());
-  }
-  EXPECT_FALSE(shard0.empty());
-  EXPECT_FALSE(shard1.empty());
-  for (const std::string& f : shard0) {
-    EXPECT_EQ(std::find(shard1.begin(), shard1.end(), f), shard1.end())
-        << f << " persisted in both shards";
-  }
-  fs::remove_all(dir);
-}
-
-TEST(CliTest, ShardedMetricsMergeAnswersForTheWholeFleet) {
-  // A `metrics` op against the front must merge every worker's registry —
-  // counters summed, histogram buckets summed — because each shard only
-  // ever saw its slice of the keyspace. `health` is the front's own.
-  const std::string script = R"SH(
-set -u
-ramp=$1; dir=$2
-"$ramp" serve --listen 127.0.0.1:0 --shards 2 --port-file "$dir/port" \
-  --trace-len 2000 --out-dir "$dir/out" --no-persist > /dev/null 2>&1 &
-pid=$!
-for i in $(seq 1 100); do [ -s "$dir/port" ] && break; sleep 0.1; done
-port=$(cat "$dir/port")
-# Six distinct 180 nm keys: the consistent hash spreads them over both
-# workers, so the merged totals can only be right if the merge is real.
-for app in gcc gzip twolf crafty ammp mesa; do
-  exec 3<> "/dev/tcp/127.0.0.1/$port"
-  printf '{"op":"eval","app":"%s","node":"180","trace_len":2000}\n' \
-    "$app" >&3
-  IFS= read -r line <&3 || exit 3
-  case "$line" in *'"ok":true'*) ;; *) echo "$line"; exit 4 ;; esac
-  exec 3<&- 3>&-
-done
-exec 3<> "/dev/tcp/127.0.0.1/$port"
-printf '{"op":"health","id":"h"}\n' >&3
-IFS= read -r health <&3 || exit 5
-printf '%s\n' "$health" > "$dir/health.json"
-printf '{"op":"metrics","id":"m"}\n' >&3
-IFS= read -r metrics <&3 || exit 6
-printf '%s\n' "$metrics" > "$dir/metrics.json"
-printf '{"op":"metrics","format":"json","id":"mj"}\n' >&3
-IFS= read -r snap <&3 || exit 7
-printf '%s\n' "$snap" > "$dir/snapshot.json"
-printf '{"op":"shutdown"}\n' >&3
-IFS= read -r bye <&3 || true
-exec 3<&- 3>&-
-wait "$pid"
-exit $?
-)SH";
-  const fs::path dir = fs::temp_directory_path() / "ramp_cli_shard_metrics";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  ASSERT_EQ(run_bash(script, {RAMP_CLI_PATH, dir.string()}), 0);
-
-  std::stringstream health_body;
-  health_body << std::ifstream(dir / "health.json").rdbuf();
-  const serve::Json health = serve::Json::parse(health_body.str());
-  EXPECT_TRUE(health.find("ok")->as_bool());
-  EXPECT_EQ(health.find("mode")->as_string(), "front");
-  EXPECT_EQ(health.find("shards")->as_number(), 2.0);
-  EXPECT_FALSE(health.find("draining")->as_bool());
-
-  std::stringstream metrics_body;
-  metrics_body << std::ifstream(dir / "metrics.json").rdbuf();
-  const serve::Json metrics = serve::Json::parse(metrics_body.str());
-  ASSERT_TRUE(metrics.find("ok")->as_bool());
-  EXPECT_EQ(metrics.find("id")->as_string(), "m");
-  const auto samples =
-      obs::parse_prometheus_text(metrics.find("prometheus")->as_string());
-  // The fleet-wide totals: 6 eval requests split across two workers.
-  EXPECT_DOUBLE_EQ(samples.at("ramp_serve_requests_total"), 6.0);
-  EXPECT_DOUBLE_EQ(samples.at("ramp_serve_latency_seconds_count"), 6.0);
-  // Both workers contributed transport metrics (the per-shard upstream
-  // connection from the front, at minimum).
-  EXPECT_GE(samples.at("ramp_net_connections_accepted"), 2.0);
-
-  std::stringstream snap_body;
-  snap_body << std::ifstream(dir / "snapshot.json").rdbuf();
-  const serve::Json snap = serve::Json::parse(snap_body.str());
-  ASSERT_TRUE(snap.find("ok")->as_bool());
-  const serve::Json* snapshot = snap.find("snapshot");
-  ASSERT_NE(snapshot, nullptr);
-  ASSERT_NE(snapshot->find("counters"), nullptr);
-  EXPECT_DOUBLE_EQ(
-      snapshot->find("counters")->find("ramp_serve_requests_total")
-          ->as_number(),
-      6.0);
   fs::remove_all(dir);
 }
 

@@ -17,7 +17,7 @@
 // Key skew: --hot-frac F sends fraction F of requests to ONE hot key (the
 // first app x node) and the rest uniformly over the app x node pool.
 // Hot-key traffic exercises the server's cross-client single-flight and
-// cache path; uniform traffic exercises scheduling and sharding spread.
+// cache path; uniform traffic exercises scheduling spread.
 //
 // Output: one JSON summary on stdout —
 //   {"mode":...,"connections":N,"offered_rps":...,"sent":...,
